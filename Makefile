@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-serve test-faults bench bench-disk bench-scan bench-struct bench-commit bench-serve bench-maint bench-backup bench-recalc soak lint staticcheck fmt ci
+.PHONY: all build test test-serve test-faults bench bench-disk bench-scan bench-struct bench-commit bench-serve bench-maint bench-backup bench-recalc perfbench-smoke soak lint staticcheck fmt ci
 
 # Rounds for the crash-fuzz soak (`make soak`); ~200 is 60-90s locally.
 SOAK_ROUNDS ?= 200
@@ -116,13 +116,21 @@ bench-backup:
 	@cat BENCH_backup.json
 
 # Async-recalc snapshot (LazyBrowsing): one tick into a >=100k-cell
-# dependency cone on the background scheduler, and writes
+# dependency cone on the background dispatcher, and writes
 # BENCH_recalc.json; fails if the registered viewport converges less than
-# 10x faster than the inline recalc served the same edit, or if the
-# drained background state diverges from the synchronous shadow engine.
+# 10x faster than the inline run served the same edit, if the drained
+# background state diverges from the synchronous shadow engine, or if
+# either engine departs from the market's closed form (both modes share
+# one evaluator, so only the closed form checks it independently).
 bench-recalc:
 	BENCH_RECALC_JSON=BENCH_recalc.json $(GO) test -run=TestRecalcSnapshot -v .
 	@cat BENCH_recalc.json
+
+# The benchmark harness is a nested module (perfbench/, see BENCHMARK.json)
+# that `go test ./...` at the root never builds: vet and unit-test it, so
+# a core API change cannot break the benchmark unnoticed (~5 s).
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 lint:
 	$(GO) vet ./...
@@ -144,4 +152,4 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck build test test-serve test-faults bench bench-disk bench-scan bench-struct bench-commit bench-serve bench-maint bench-backup bench-recalc soak
+ci: lint staticcheck build test test-serve test-faults bench bench-disk bench-scan bench-struct bench-commit bench-serve bench-maint bench-backup bench-recalc perfbench-smoke soak

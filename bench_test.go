@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // at reduced scale (one testing.B bench per artifact; see cmd/dsbench for
-// the full-scale harness and EXPERIMENTS.md for paper-vs-measured shapes).
+// the full-scale harness).
 package dataspread_test
 
 import (

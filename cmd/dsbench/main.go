@@ -1,6 +1,6 @@
 // Command dsbench regenerates every table and figure of the DataSpread
 // paper's evaluation. Each experiment prints the same rows/series the
-// paper reports; EXPERIMENTS.md records the expected shapes.
+// paper reports.
 //
 // Usage:
 //

@@ -69,17 +69,37 @@ func compareMarkets(t *testing.T, ea, eb *core.Engine, spec workload.TickerSpec)
 	}
 }
 
+// checkClosedForm asserts an engine holds the market's closed form for
+// ticker value a1: B<i> = a1*i and leaf (i, 2+j) = a1*i + j. Both recalc
+// modes share one evaluator, so comparing them with each other cannot
+// catch an evaluator fault; this reference is independent of it.
+func checkClosedForm(t *testing.T, e *core.Engine, spec workload.TickerSpec, a1 int, mode string) {
+	t.Helper()
+	for i := 1; i <= spec.Intermediates; i++ {
+		for j := 0; j <= spec.LeavesPer; j++ {
+			want := float64(a1*i + j)
+			if got, ok := e.GetCell(i, 2+j).Value.Num(); !ok || got != want {
+				t.Fatalf("%s engine (%d,%d) = %v, closed form %v", mode, i, 2+j, e.GetCell(i, 2+j).Value, want)
+			}
+		}
+	}
+	if err := e.ReadErr(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecalcSnapshot measures the async recalc path (emitted to the path
 // in the BENCH_RECALC_JSON env var; skipped when unset) and enforces the
 // LazyBrowsing gates: on a >=100k-cell cone the async edit serves the
-// viewport >=10x faster than the inline recalc served the edit, and the
-// drained background state is byte-identical to the synchronous engine's.
+// viewport >=10x faster than the inline recalc served the edit, the
+// drained background state is byte-identical to the synchronous engine's,
+// and both engines match the market's closed form.
 func TestRecalcSnapshot(t *testing.T) {
 	out := os.Getenv("BENCH_RECALC_JSON")
 	if out == "" {
 		t.Skip("set BENCH_RECALC_JSON=<path> to emit the recalc snapshot")
 	}
-	spec := workload.TickerSpec{} // defaults: 1000 intermediates x 100 leaves
+	spec := workload.TickerSpec{Intermediates: 1000, LeavesPer: 100} // the defaults
 	cone := spec.ConeSize()
 	if cone < 100_000 {
 		t.Fatalf("cone of %d cells is below the 100k gate floor", cone)
@@ -123,8 +143,10 @@ func TestRecalcSnapshot(t *testing.T) {
 	drainTime := time.Since(start)
 
 	// Shadow compare: the background pass must converge to exactly the
-	// inline result.
+	// inline result, and both to the closed form of tick 1 (A1 = 101).
 	compareMarkets(t, sync, async, spec)
+	checkClosedForm(t, sync, spec, 101, "sync")
+	checkClosedForm(t, async, spec, 101, "async")
 
 	// Steady state: a burst of ticks, drained, for background throughput.
 	const burst = 5
@@ -140,6 +162,8 @@ func TestRecalcSnapshot(t *testing.T) {
 		tick(t, sync, n)
 	}
 	compareMarkets(t, sync, async, spec)
+	checkClosedForm(t, sync, spec, 100+1+burst, "sync")
+	checkClosedForm(t, async, spec, 100+1+burst, "async")
 
 	speedup := float64(syncTick) / float64(viewportTime)
 	cellsPerSec := float64(burst*cone) / burstElapsed.Seconds()

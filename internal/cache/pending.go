@@ -13,9 +13,9 @@ import (
 // separate structure that is independent of residency, so evicting a block
 // does not forget which of its cells are pending.
 //
-// The engine's background recalc scheduler (internal/core/recalc.go) is the
-// only writer in practice: edits mark the dependency cone pending, the
-// scheduler clears bits as waves commit, and readers (the serving layer's
+// The engine's recalc evaluator (internal/core/recalc.go) is the only
+// writer in practice: edits mark the dependency cone pending, the
+// evaluator clears bits as waves commit, and readers (the serving layer's
 // get-range path) surface the bits as staleness flags. All methods are safe
 // for concurrent use and independent of the cache's block lock.
 
@@ -54,38 +54,6 @@ func (c *Cache) MarkPending(r sheet.Ref) bool {
 	m[w] |= b
 	p.count++
 	return true
-}
-
-// MarkPendingBatch sets the pending bit for every ref, returning how many
-// were newly set. One lock acquisition covers the whole batch — the edit
-// path marks 100k-cell dependency cones through this.
-func (c *Cache) MarkPendingBatch(refs []sheet.Ref) int {
-	if len(refs) == 0 {
-		return 0
-	}
-	p := &c.pending
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.masks == nil {
-		p.masks = make(map[blockKey][]uint64)
-	}
-	n := 0
-	for _, r := range refs {
-		k := keyFor(r)
-		m := p.masks[k]
-		if m == nil {
-			m = make([]uint64, pendingWords)
-			p.masks[k] = m
-		}
-		bit := cellIndex(k, r)
-		w, b := bit/64, uint64(1)<<(bit%64)
-		if m[w]&b == 0 {
-			m[w] |= b
-			p.count++
-			n++
-		}
-	}
-	return n
 }
 
 // ClearPending clears the pending bit for r, reporting whether it was set.

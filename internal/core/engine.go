@@ -30,15 +30,16 @@ type Options struct {
 	CacheBlocks int
 	// CostParams drives the hybrid optimizer (zero value: PostgresCost).
 	CostParams hybrid.CostParams
-	// AsyncRecalc enables the background recalc scheduler (the paper's
-	// LazyBrowsing direction): edits mark their dependency cone pending
-	// and return immediately; a bounded worker pool evaluates the cone in
-	// topological waves, cells inside registered viewports first. Default
-	// false: formulas evaluate inline with the edit (tests, single-user
-	// CLI). See recalc.go.
+	// AsyncRecalc chooses who runs the recalc plan. Every edit marks its
+	// dependency cone pending, and one evaluator commits the cone in
+	// topological waves. With AsyncRecalc (the paper's LazyBrowsing
+	// direction) a background dispatcher runs it — the edit returns at
+	// once, cells inside registered viewports converge first. Default
+	// false: the editing goroutine runs it before the edit returns (tests,
+	// single-user CLI). See recalc.go.
 	AsyncRecalc bool
-	// RecalcWorkers bounds the scheduler's evaluation worker pool (0:
-	// GOMAXPROCS capped at 4). Meaningful only with AsyncRecalc.
+	// RecalcWorkers bounds the evaluator's per-chunk worker pool in either
+	// mode (0: GOMAXPROCS capped at 4).
 	RecalcWorkers int
 }
 
@@ -77,11 +78,10 @@ type Engine struct {
 	// single-goroutine use.
 	gen     atomic.Uint64
 	latches latchTable
-	// writeMu serializes edit paths against the background recalc
-	// scheduler's commit chunks. Locked only in async mode (sched != nil);
-	// synchronous engines keep their existing single-writer discipline.
+	// writeMu serializes edit paths against each other and against the
+	// recalc dispatcher's commit chunks.
 	writeMu sync.Mutex
-	// sched is the background recalc scheduler (nil in synchronous mode).
+	// sched is the recalc evaluator (see recalc.go).
 	sched *recalcScheduler
 }
 
@@ -283,8 +283,7 @@ func (e *Engine) Set(row, col int, input string) error {
 }
 
 // SetValue writes a plain value and recomputes dependents (updateCell of
-// Section III). In async mode dependents are marked pending instead and
-// recompute in the background.
+// Section III) — inline, or in the background in async mode.
 func (e *Engine) SetValue(row, col int, v sheet.Value) error {
 	if err := e.writeGuard(); err != nil {
 		return err
@@ -324,9 +323,8 @@ func (e *Engine) Clear(row, col int) error {
 }
 
 // SetFormula installs a formula (source without '='), evaluates it, and
-// recomputes dependents. Cycles poison the cell with #CYCLE!. In async
-// mode the cell and its dependents are marked pending instead and
-// evaluate in the background.
+// recomputes dependents — inline, or in the background in async mode.
+// Cycles poison the cell with #CYCLE!.
 func (e *Engine) SetFormula(row, col int, src string) error {
 	if err := e.writeGuard(); err != nil {
 		return err
@@ -347,11 +345,11 @@ func (e *Engine) SetFormula(row, col int, src string) error {
 	return nil
 }
 
-// installFormula parses, registers and evaluates a formula at ref without
-// recomputing dependents (the caller propagates). Cycles poison the cell
-// with #CYCLE! and move its registration to the cycle set. In async mode
-// evaluation is deferred: the cell keeps its previous displayed value and
-// is marked pending for the scheduler.
+// installFormula parses and registers a formula at ref, attaching its
+// source to the cell (which keeps its previous displayed value) and
+// marking it pending; the caller's finishEdit evaluates it with its
+// dependents. Cycles poison the cell with #CYCLE! and move its
+// registration to the cycle set.
 func (e *Engine) installFormula(ref sheet.Ref, src string) error {
 	expr, err := formula.Parse(src)
 	if err != nil {
@@ -371,21 +369,11 @@ func (e *Engine) installFormula(ref sheet.Ref, src string) error {
 	e.exprs[ref] = expr
 	e.setDeps(ref, reads)
 	e.formulasDirty = true
-	if e.sched != nil {
-		// LazyBrowsing: defer evaluation — keep whatever value the cell
-		// showed, attach the formula text, and mark the cell pending.
-		old := e.cache.Get(ref)
-		if err := e.cache.Put(ref, sheet.Cell{Value: old.Value, Formula: src}); err != nil {
-			return err
-		}
-		e.cache.MarkPending(ref)
-		e.grow(ref.Row, ref.Col)
-		return nil
-	}
-	v := formula.Eval(expr, e)
-	if err := e.cache.Put(ref, sheet.Cell{Value: v, Formula: src}); err != nil {
+	old := e.cache.Get(ref)
+	if err := e.cache.Put(ref, sheet.Cell{Value: old.Value, Formula: src}); err != nil {
 		return err
 	}
+	e.cache.MarkPending(ref)
 	e.grow(ref.Row, ref.Col)
 	return nil
 }
@@ -515,11 +503,9 @@ func (e *Engine) dropFormula(ref sheet.Ref) {
 	delete(e.constants, ref)
 	delete(e.cycles, ref)
 	e.deps.Remove(ref)
-	if e.sched != nil {
-		// The cell no longer computes anything: whatever is written next
-		// is its definitive value.
-		e.cache.ClearPending(ref)
-	}
+	// The cell no longer computes anything: whatever is written next is its
+	// definitive value.
+	e.cache.ClearPending(ref)
 }
 
 // poisonCycles marks every ref in refs cycle-poisoned, unifying the
@@ -548,9 +534,7 @@ func (e *Engine) poisonCycles(refs []sheet.Ref) error {
 			e.cycles[ref] = src
 			e.formulasDirty = true
 		}
-		if e.sched != nil {
-			e.cache.ClearPending(ref)
-		}
+		e.cache.ClearPending(ref)
 	}
 	return nil
 }
@@ -569,23 +553,10 @@ func (e *Engine) setDeps(ref sheet.Ref, reads []sheet.Range) {
 // finishEdit completes an edit after its primary mutation: formulas whose
 // cycle the edit broke are revived (re-registered), then the affected cone
 // — the revived cells plus every dependent of the changed cells — is
-// recomputed inline, or marked pending for the background scheduler.
+// marked pending and recalculated.
 func (e *Engine) finishEdit(changed []sheet.Ref) error {
-	revived := e.reviveCycles()
-	if e.sched != nil {
-		for _, r := range revived {
-			e.cache.MarkPending(r)
-		}
-		e.enqueueRecalc(append(changed, revived...))
-		return nil
-	}
-	order, cycles := e.deps.AffectedBySeeds(revived, changed)
-	for _, dep := range order {
-		if err := e.reevaluate(dep); err != nil {
-			return err
-		}
-	}
-	return e.poisonCycles(cycles)
+	e.markRecalc(e.reviveCycles(), changed)
+	return e.recalc()
 }
 
 // reviveCycles re-registers poisoned formulas whose cycle no longer exists
@@ -628,56 +599,16 @@ func (e *Engine) reviveCycles() []sheet.Ref {
 	return revived
 }
 
-func (e *Engine) reevaluate(ref sheet.Ref) error {
-	expr, ok := e.exprs[ref]
-	if !ok {
-		return nil
-	}
-	v := formula.Eval(expr, e)
-	if e.sched != nil {
-		// An inline pass (RecalcAll on an async engine) computes the
-		// definitive value: the cell is no longer stale.
-		defer e.cache.ClearPending(ref)
-	}
-	old := e.cache.Get(ref)
-	if old.Value.Equal(v) {
-		return nil
-	}
-	return e.cache.Put(ref, sheet.Cell{Value: v, Formula: old.Formula})
-}
-
-// RecalcAll evaluates every formula (initial load, or after structural
-// edits), respecting dependencies.
+// RecalcAll recalculates every formula (initial load, or on demand): all
+// of them are marked pending, and the plan evaluates them in dependency
+// order, poisoning cycles.
 func (e *Engine) RecalcAll() error {
 	unlock := e.lockWrites()
 	defer unlock()
-	// Evaluate in dependency order by repeatedly relaxing; with the
-	// dependency graph acyclic this converges in one topological pass via
-	// Affected from a virtual change covering everything.
-	order, cycles := e.deps.AffectedByRange(sheet.NewRange(1, 1, e.maxRow+1, e.maxCol+1))
-	seen := make(map[sheet.Ref]bool, len(order))
-	for _, ref := range order {
-		seen[ref] = true
-		if err := e.reevaluate(ref); err != nil {
-			return err
-		}
-	}
-	for _, ref := range cycles {
-		seen[ref] = true
-	}
-	if err := e.poisonCycles(cycles); err != nil {
-		return err
-	}
-	// Formulas reading nothing inside bounds (constants) may be missed by
-	// the range trigger; evaluate any leftovers.
 	for ref := range e.exprs {
-		if !seen[ref] {
-			if err := e.reevaluate(ref); err != nil {
-				return err
-			}
-		}
+		e.cache.MarkPending(ref)
 	}
-	return nil
+	return e.recalc()
 }
 
 func (e *Engine) registerFormula(ref sheet.Ref, src string) error {

@@ -29,8 +29,8 @@ import (
 // return sorted ids), so overlapping writers cannot deadlock.
 //
 // Visibility hangs off a per-engine generation: every applied mutation
-// batch bumps it, and SnapshotRange stamps each read with the generation
-// it observed. The serving layer pins these stamps to give scrolling
+// batch bumps it, and a read taken under read latches observes a stable
+// one. The serving layer pins these stamps to give scrolling
 // viewports snapshot-isolated reads while a bulk load is mid-flight; the
 // database-wide durable counterpart is rdbms.DB.CommitGen, advanced by the
 // group-commit flusher.
@@ -147,18 +147,6 @@ func (e *Engine) WLatchRefs(refs []sheet.Ref) func() {
 func (e *Engine) LatchExclusive() func() {
 	e.latches.structure.Lock()
 	return e.latches.structure.Unlock
-}
-
-// SnapshotRange is the latched snapshot read: it takes read latches over
-// g, materializes the range, and stamps it with the generation it
-// observed. While the latches are held no writer can touch the underlying
-// tables, so the cells and the stamp are one consistent point-in-time
-// view.
-func (e *Engine) SnapshotRange(g sheet.Range) ([][]sheet.Cell, uint64, error) {
-	release := e.RLatchRange(g)
-	defer release()
-	cells := e.GetCells(g)
-	return cells, e.Generation(), e.ReadErr()
 }
 
 // AffectedRefs returns the full dirty set of a prospective cell-edit

@@ -57,9 +57,9 @@ type formulaManifest struct {
 // log: the hybrid store manifest (only its dirty segments), the engine
 // manifest, and every dirty page become durable. On an in-memory database
 // the manifests are written but the WAL commit is a no-op. In async-recalc
-// mode Save serializes against the background scheduler (which mutates the
-// formula maps when it poisons cycles) but does not wait for convergence;
-// call Drain first for a converged save.
+// mode Save serializes against the background dispatcher (which mutates
+// the formula maps when it poisons cycles) but does not wait for
+// convergence; call Drain first for a converged save.
 func (e *Engine) Save() error {
 	unlock := e.lockWrites()
 	defer unlock()
@@ -67,7 +67,7 @@ func (e *Engine) Save() error {
 }
 
 // saveLocked is Save for callers already holding the edit lock (structural
-// edits, the scheduler's drain-save).
+// edits, the dispatcher's drain-save).
 func (e *Engine) saveLocked() error {
 	if err := e.saveManifests(); err != nil {
 		return err
@@ -244,18 +244,18 @@ func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	return e.finishLoad()
 }
 
-// finishLoad completes Load: in async mode every reloaded formula is marked
-// pending and the scheduler woken. Persisted values can lag persisted
-// formulas (the saving session may have crashed between a formula-durable
-// edit and its next drain-save), so a reloaded async sheet revalidates in
-// the background — viewport-first, like any other recalculation — instead
-// of trusting the stored values or blocking the open on a full recompute.
+// finishLoad completes Load. A synchronous sheet trusts its stored values.
+// An async one recalculates every formula in the background: persisted
+// values can lag persisted formulas (the saving session may have crashed
+// between a formula-durable edit and its next drain-save), so a reloaded
+// async sheet revalidates — viewport-first, like any other recalculation —
+// instead of trusting the stored values or blocking the open on a full
+// recompute.
 func (e *Engine) finishLoad() (*Engine, error) {
-	if e.sched != nil && len(e.exprs) > 0 {
-		for ref := range e.exprs {
-			e.cache.MarkPending(ref)
+	if e.AsyncRecalc() && len(e.exprs) > 0 {
+		if err := e.RecalcAll(); err != nil {
+			return nil, err
 		}
-		e.sched.wake()
 	}
 	return e, nil
 }

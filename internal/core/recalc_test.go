@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
+	"dataspread/internal/formula"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
@@ -553,5 +555,194 @@ func TestRecalcPropertySetVsSetCells(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Regression: a dispatcher chunk planned before an edit must not commit
+// after it. The edit lands between the intermediate's chunk and the
+// leaves' chunk, re-marking the whole cone; committing the leaves anyway
+// would evaluate them against the re-marked, not yet recomputed
+// intermediate and clear their bits, so the rebuilt plan would skip them
+// and Drain would return with stale leaves.
+func TestRecalcAsyncEditBetweenChunks(t *testing.T) {
+	e := newAsyncEngine(t)
+	const leaves = 50
+	edits := []CellEdit{{Row: 1, Col: 1, Input: "1"}, {Row: 1, Col: 2, Input: "=A1*10"}}
+	for j := 1; j <= leaves; j++ {
+		edits = append(edits, CellEdit{Row: 1 + j, Col: 2, Input: fmt.Sprintf("=B1+%d", j)})
+	}
+	if err := e.SetCells(edits); err != nil {
+		t.Fatal(err)
+	}
+	mustDrain(t, e)
+
+	chunks := 0
+	e.sched.beforeChunk = func() {
+		// Chunk 1 is B1; before chunk 2 (the leaves) takes its latches,
+		// tick the ticker again.
+		if chunks++; chunks == 2 {
+			if err := e.Set(1, 1, "3"); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	if err := e.Set(1, 1, "2"); err != nil {
+		t.Fatal(err)
+	}
+	mustDrain(t, e)
+	if chunks < 2 {
+		t.Fatalf("the plan ran %d chunks, want the edit between chunks 1 and 2", chunks)
+	}
+	if got := cellNum(t, e, 1, 2); got != 30 {
+		t.Fatalf("B1 = %v, want 30", got)
+	}
+	for j := 1; j <= leaves; j++ {
+		if got := cellNum(t, e, 1+j, 2); got != float64(30+j) {
+			t.Fatalf("B%d = %v, want %d (stale leaf left unflagged)", 1+j, got, 30+j)
+		}
+	}
+}
+
+// syncCone is the sheet the sync-contract cases edit: A1 fans out to
+// B1..B20 (=A1*i), summed by C1; F1 sums a row band across A1:B1.
+func syncCone() *sheet.Sheet {
+	s := sheet.New("cone")
+	s.SetValue(1, 1, sheet.Number(2))
+	for i := 1; i <= 20; i++ {
+		s.SetFormula(i, 2, fmt.Sprintf("A1*%d", i))
+	}
+	s.SetFormula(1, 3, "SUM(B1:B20)")
+	s.SetFormula(1, 6, "SUM(A1:B1)")
+	return s
+}
+
+// checkFixedPoint asserts every registered formula's displayed value is
+// final: re-evaluating it against the current sheet gives the same value.
+func checkFixedPoint(t *testing.T, e *Engine) {
+	t.Helper()
+	for ref, expr := range e.exprs {
+		if got, want := e.cache.Get(ref).Value, formula.Eval(expr, e); !got.Equal(want) {
+			t.Fatalf("%v = %v, re-evaluates to %v", ref, got, want)
+		}
+	}
+}
+
+// The synchronous contract: every edit runs its recalc plan inline, so when
+// it returns nothing is pending, every value in the cone is final, no
+// goroutine it started is still running, and the recalc itself made no
+// WAL commit (the edits that save — SetCells, structural edits — commit
+// exactly once).
+func TestRecalcSyncContract(t *testing.T) {
+	cases := []struct {
+		name  string
+		edit  func(db *rdbms.DB, e *Engine) (*Engine, error)
+		syncs int64 // WAL syncs the edit commits itself
+		cell  sheet.Ref
+		want  float64
+	}{
+		{"Set", func(_ *rdbms.DB, e *Engine) (*Engine, error) { return e, e.Set(1, 1, "3") }, 0, sheet.Ref{Row: 1, Col: 3}, 630},
+		{"SetCells", func(_ *rdbms.DB, e *Engine) (*Engine, error) {
+			return e, e.SetCells([]CellEdit{{Row: 1, Col: 1, Input: "3"}, {Row: 1, Col: 4, Input: "=C1+1"}})
+		}, 1, sheet.Ref{Row: 1, Col: 4}, 631},
+		{"SetFormula", func(_ *rdbms.DB, e *Engine) (*Engine, error) { return e, e.SetFormula(1, 4, "C1+1") }, 0, sheet.Ref{Row: 1, Col: 4}, 421},
+		{"Clear", func(_ *rdbms.DB, e *Engine) (*Engine, error) { return e, e.Clear(1, 1) }, 0, sheet.Ref{Row: 1, Col: 3}, 0},
+		{"InsertRows", func(_ *rdbms.DB, e *Engine) (*Engine, error) { return e, e.InsertRowsAfter(5, 2) }, 1, sheet.Ref{Row: 1, Col: 3}, 420},
+		{"DeleteRows", func(_ *rdbms.DB, e *Engine) (*Engine, error) { return e, e.DeleteRows(3, 1) }, 1, sheet.Ref{Row: 1, Col: 3}, 414},
+		{"InsertCols", func(_ *rdbms.DB, e *Engine) (*Engine, error) { return e, e.InsertColumnsAfter(1, 1) }, 1, sheet.Ref{Row: 1, Col: 7}, 4},
+		{"DeleteCols", func(_ *rdbms.DB, e *Engine) (*Engine, error) { return e, e.DeleteColumns(2, 1) }, 1, sheet.Ref{Row: 1, Col: 5}, 2},
+		{"OpenRecalcAll", func(db *rdbms.DB, _ *Engine) (*Engine, error) {
+			return Open(db, "opened", syncCone(), "rcv", Options{})
+		}, 0, sheet.Ref{Row: 1, Col: 3}, 420},
+		{"Optimize", func(_ *rdbms.DB, e *Engine) (*Engine, error) {
+			_, err := e.Optimize("agg", 0)
+			return e, err
+		}, 0, sheet.Ref{Row: 1, Col: 3}, 420},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := rdbms.OpenFile(filepath.Join(t.TempDir(), "sync.dsdb"), rdbms.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			e, err := Open(db, "cone", syncCone(), "rcv", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Save(); err != nil {
+				t.Fatal(err)
+			}
+			goroutines := runtime.NumGoroutine()
+			syncs := db.Pool().Stats().WALSyncs
+			e, err = tc.edit(db, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := e.PendingCount(); n != 0 {
+				t.Fatalf("%d cells pending after the edit returned", n)
+			}
+			if got := cellNum(t, e, tc.cell.Row, tc.cell.Col); got != tc.want {
+				t.Fatalf("%v = %v, want %v", tc.cell, got, tc.want)
+			}
+			checkFixedPoint(t, e)
+			if n := db.Pool().Stats().WALSyncs - syncs; n != tc.syncs {
+				t.Fatalf("edit made %d WAL syncs, want %d", n, tc.syncs)
+			}
+			// Evaluation workers are joined before the edit returns; allow
+			// them a moment to finish exiting.
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > goroutines {
+				t.Fatalf("%d goroutines outlived the edit", n-goroutines)
+			}
+			start := time.Now()
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d > 100*time.Millisecond {
+				t.Fatalf("Drain on a synchronous engine blocked for %v", d)
+			}
+		})
+	}
+}
+
+// An inline commit error is the edit's error, and Drain's — without
+// blocking — while the cells it could not commit stay pending.
+func TestRecalcSyncInlineErrorSurfaces(t *testing.T) {
+	e := newEngine(t)
+	rows := [][]string{{"invid", "amount"}, {"1", "100"}, {"2", "200"}}
+	for i, r := range rows {
+		for j, v := range r {
+			if err := e.Set(i+1, j+1, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := e.LinkTable(sheet.NewRange(1, 1, 3, 2), "inv"); err != nil {
+		t.Fatal(err)
+	}
+	// A formula registered on the linked header row, which rejects every
+	// write: evaluating it inline must fail.
+	if err := e.registerFormula(sheet.Ref{Row: 1, Col: 2}, "A10*2"); err != nil {
+		t.Fatal(err)
+	}
+	err := e.Set(10, 1, "4")
+	if err == nil {
+		t.Fatal("edit whose inline recalc cannot commit succeeded")
+	}
+	if e.PendingCount() == 0 {
+		t.Fatal("the uncommitted cell is not pending")
+	}
+	done := make(chan error, 1)
+	go func() { done <- e.Drain() }()
+	select {
+	case derr := <-done:
+		if derr == nil || derr.Error() != err.Error() {
+			t.Fatalf("Drain = %v, want the edit's error %v", derr, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain blocked on a synchronous engine")
 	}
 }

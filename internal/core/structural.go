@@ -399,9 +399,9 @@ func shiftSeeds(seeds []sheet.Ref, axis depgraph.Axis, at, count int) []sheet.Re
 	return out
 }
 
-// recalcSeeds re-evaluates the seed formulas and their transitive
-// dependents in topological order (the incremental replacement for
-// RecalcAll after structural edits).
+// recalcSeeds recalculates the seed formulas and their transitive
+// dependents (the incremental replacement for RecalcAll after structural
+// edits).
 func (e *Engine) recalcSeeds(seeds []sheet.Ref) error {
 	// A structural edit may have broken a previously-poisoned cycle (e.g. by
 	// deleting one of its members), so give stored cycle formulas a chance to
@@ -410,34 +410,6 @@ func (e *Engine) recalcSeeds(seeds []sheet.Ref) error {
 	if len(seeds) == 0 {
 		return nil
 	}
-	if e.sched != nil {
-		// Async: mark the affected cone pending and let the scheduler
-		// evaluate it viewport-first. Kahn leftovers (cycle members and
-		// their downstream) are marked too — the scheduler's cycle chunk
-		// poisons them, matching the synchronous tail below.
-		order, cycles := e.deps.AffectedFrom(seeds)
-		for _, ref := range order {
-			if _, ok := e.exprs[ref]; !ok {
-				continue
-			}
-			e.cache.MarkPending(ref)
-			e.lastEdit.Recomputed++
-		}
-		for _, ref := range cycles {
-			e.cache.MarkPending(ref)
-		}
-		e.sched.wake()
-		return nil
-	}
-	order, cycles := e.deps.AffectedFrom(seeds)
-	for _, ref := range order {
-		if _, ok := e.exprs[ref]; !ok {
-			continue
-		}
-		e.lastEdit.Recomputed++
-		if err := e.reevaluate(ref); err != nil {
-			return err
-		}
-	}
-	return e.poisonCycles(cycles)
+	e.lastEdit.Recomputed = e.markRecalc(seeds, nil)
+	return e.recalc()
 }

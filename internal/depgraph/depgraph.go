@@ -341,31 +341,7 @@ func (g *Graph) DirectDependents(changed sheet.Range) []sheet.Ref {
 // dependents). Cells participating in a dependency cycle are returned
 // separately.
 func (g *Graph) Affected(changed sheet.Ref) (order []sheet.Ref, cycles []sheet.Ref) {
-	return g.AffectedByRange(sheet.Range{From: changed, To: changed})
-}
-
-// AffectedByRange is Affected for a rectangular change.
-func (g *Graph) AffectedByRange(changed sheet.Range) (order []sheet.Ref, cycles []sheet.Ref) {
-	return g.affectedFrom(g.DirectDependents(changed))
-}
-
-// AffectedFrom is Affected seeded with an explicit set of formula cells
-// that must themselves be recomputed (the incremental-recalculation entry
-// point after a structural edit): the result includes the seeds verbatim —
-// even seeds no longer registered in the graph, such as formulas whose
-// reads all collapsed to #REF! — plus every formula transitively reading
-// them, topologically ordered.
-func (g *Graph) AffectedFrom(seeds []sheet.Ref) (order []sheet.Ref, cycles []sheet.Ref) {
-	return g.affectedFrom(append([]sheet.Ref(nil), seeds...))
-}
-
-// AffectedBySeeds combines AffectedFrom and AffectedByRefs into one
-// topologically ordered cone: the seed formulas themselves plus every
-// formula affected by a value change at refs. It is the engine's post-edit
-// pass, where cycle-revived formulas must re-evaluate alongside the edit's
-// dependents in a single valid order.
-func (g *Graph) AffectedBySeeds(seeds, refs []sheet.Ref) (order []sheet.Ref, cycles []sheet.Ref) {
-	return g.affectedFrom(append(g.frontierForRefs(refs), seeds...))
+	return g.affectedFrom(g.DirectDependents(sheet.Range{From: changed, To: changed}))
 }
 
 // AffectedByRefs is Affected for a set of individually changed cells (a
@@ -378,7 +354,7 @@ func (g *Graph) AffectedByRefs(refs []sheet.Ref) (order []sheet.Ref, cycles []sh
 
 // frontierForRefs returns the formulas directly reading any of the exact
 // changed cells, deduplicated and sorted — the BFS frontier shared by
-// AffectedByRefs and ConeFromRefs.
+// AffectedByRefs and MarkReach.
 func (g *Graph) frontierForRefs(refs []sheet.Ref) []sheet.Ref {
 	if len(refs) == 0 {
 		return nil
@@ -420,42 +396,61 @@ func (g *Graph) frontierForRefs(refs []sheet.Ref) []sheet.Ref {
 
 // Reach returns the cells whose formulas must eventually recompute when
 // the given cells change: every formula transitively reading any of them
-// (the dependency cone's member set, in unspecified order — no sorting at
-// all). The background recalc scheduler uses it to mark staleness at edit
-// time, so it is deliberately the leanest possible BFS: point-index
-// probes plus one stripe probe per visited cell, no per-node dependent
-// sort — an edit touching a 100k-cell cone must return in milliseconds.
+// (the dependency cone's member set, in unspecified order).
 func (g *Graph) Reach(refs []sheet.Ref) []sheet.Ref {
-	queue := g.frontierForRefs(refs)
-	reach := make(map[sheet.Ref]bool, len(queue))
-	for i := 0; i < len(queue); i++ {
-		ref := queue[i]
-		if reach[ref] {
-			continue
+	seen := make(map[sheet.Ref]bool)
+	var out []sheet.Ref
+	g.MarkReach(refs, func(r sheet.Ref) bool {
+		if seen[r] {
+			return false
 		}
-		reach[ref] = true
-		for _, e := range g.points[ref] {
-			if !reach[e.ref] {
-				queue = append(queue, e.ref)
-			}
+		seen[r] = true
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
+// MarkReach is Reach streamed into the caller's visited set: mark reports
+// whether a cell was newly marked, and the walk expands only newly marked
+// cells — a cell the caller had marked before is taken to have its
+// dependents marked too, which the recalc evaluator's pending bits
+// guarantee (they are closed under dependents). The engine marks staleness
+// with it at edit time, so it is deliberately the leanest possible walk:
+// point-index probes plus one stripe probe per visited cell, no sorting,
+// no allocation beyond the walk's stack — an edit touching a 100k-cell
+// cone must return in milliseconds. It returns how many cells were newly
+// marked.
+func (g *Graph) MarkReach(refs []sheet.Ref, mark func(sheet.Ref) bool) int {
+	n := 0
+	var stack []sheet.Ref
+	add := func(r sheet.Ref) {
+		if mark(r) {
+			n++
+			stack = append(stack, r)
 		}
-		g.stripeCandidates(ref.Row, ref.Row, func(e *entry) {
-			if reach[e.ref] {
+	}
+	for _, r := range g.frontierForRefs(refs) {
+		add(r)
+	}
+	var ref sheet.Ref
+	visitRange := func(e *entry) {
+		for _, r := range e.reads {
+			if r.Contains(ref) {
+				add(e.ref)
 				return
 			}
-			for _, r := range e.reads {
-				if r.Contains(ref) {
-					queue = append(queue, e.ref)
-					return
-				}
-			}
-		})
+		}
 	}
-	out := make([]sheet.Ref, 0, len(reach))
-	for ref := range reach {
-		out = append(out, ref)
+	for len(stack) > 0 {
+		ref = stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range g.points[ref] {
+			add(e.ref)
+		}
+		g.stripeCandidates(ref.Row, ref.Row, visitRange)
 	}
-	return out
+	return n
 }
 
 // UpstreamWaves returns the member-filtered transitive precedent closure
@@ -593,15 +588,14 @@ func (c *Cone) Waves() [][]sheet.Ref {
 	return waves
 }
 
-// ConeFrom is AffectedFrom returning the full cone structure: the seeds
-// verbatim plus every formula transitively reading them, with adjacency.
+// ConeFrom returns the cone seeded with an explicit set of formula cells
+// that must themselves be recomputed (the recalc evaluator's plan over the
+// pending set): the seeds verbatim — even seeds no longer registered in
+// the graph, such as formulas whose reads all collapsed to #REF! — plus
+// every formula transitively reading them, topologically ordered, with
+// adjacency.
 func (g *Graph) ConeFrom(seeds []sheet.Ref) *Cone {
 	return g.coneFrom(append([]sheet.Ref(nil), seeds...))
-}
-
-// ConeFromRefs is AffectedByRefs returning the full cone structure.
-func (g *Graph) ConeFromRefs(refs []sheet.Ref) *Cone {
-	return g.coneFrom(g.frontierForRefs(refs))
 }
 
 // affectedFrom runs the reachability BFS and topological sort from an

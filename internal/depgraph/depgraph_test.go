@@ -255,22 +255,22 @@ func TestShiftWideRangeStaysIndexed(t *testing.T) {
 	}
 }
 
-func TestAffectedFromIncludesSeeds(t *testing.T) {
+func TestConeFromIncludesSeeds(t *testing.T) {
 	g := New()
 	g.Set(ref(1, 2), cellRange(1, 1)) // B1 = A1
 	g.Set(ref(1, 3), cellRange(1, 2)) // C1 = B1
-	order, cycles := g.AffectedFrom([]sheet.Ref{ref(1, 2)})
-	if len(cycles) != 0 {
-		t.Fatalf("cycles = %v", cycles)
+	c := g.ConeFrom([]sheet.Ref{ref(1, 2)})
+	if len(c.Cycles) != 0 {
+		t.Fatalf("cycles = %v", c.Cycles)
 	}
-	if len(order) != 2 || order[0] != ref(1, 2) || order[1] != ref(1, 3) {
-		t.Fatalf("order = %v", order)
+	if len(c.Order) != 2 || c.Order[0] != ref(1, 2) || c.Order[1] != ref(1, 3) {
+		t.Fatalf("order = %v", c.Order)
 	}
 	// Unregistered seeds (e.g. a formula whose reads all became #REF!) are
 	// kept verbatim so the caller still re-evaluates them.
-	order, _ = g.AffectedFrom([]sheet.Ref{ref(9, 9)})
-	if len(order) != 1 || order[0] != ref(9, 9) {
-		t.Fatalf("unregistered seed order = %v", order)
+	c = g.ConeFrom([]sheet.Ref{ref(9, 9)})
+	if len(c.Order) != 1 || c.Order[0] != ref(9, 9) {
+		t.Fatalf("unregistered seed order = %v", c.Order)
 	}
 }
 
@@ -385,45 +385,78 @@ func TestHasCycleAtRangeReads(t *testing.T) {
 	}
 }
 
-// TestAffectedBySeedsMergesFrontiers pins the engine's post-edit pass:
-// seeds (revived formulas) and the dependents of changed refs evaluate in
-// one topological order, without duplicates.
-func TestAffectedBySeedsMergesFrontiers(t *testing.T) {
+// TestConeFromMergesSeedsAndReach pins the engine's post-edit plan: seeds
+// (revived formulas) and the dependents of changed refs (Reach) are marked
+// pending together, and the cone over that set evaluates them in one
+// topological order, without duplicates.
+func TestConeFromMergesSeedsAndReach(t *testing.T) {
 	g := New()
 	g.Set(ref(1, 2), cellRange(1, 1)) // B1 = A1
 	g.Set(ref(1, 3), cellRange(1, 2)) // C1 = B1
 	g.Set(ref(2, 2), cellRange(2, 1)) // B2 = A2 (the "revived" seed)
+	pending := func(seed sheet.Ref) []sheet.Ref {
+		return append(g.Reach([]sheet.Ref{ref(1, 1)}), seed)
+	}
 
-	order, cycles := g.AffectedBySeeds([]sheet.Ref{ref(2, 2)}, []sheet.Ref{ref(1, 1)})
-	if len(cycles) != 0 {
-		t.Fatalf("cycles = %v", cycles)
+	c := g.ConeFrom(pending(ref(2, 2)))
+	if len(c.Cycles) != 0 {
+		t.Fatalf("cycles = %v", c.Cycles)
 	}
 	want := map[sheet.Ref]bool{ref(1, 2): true, ref(1, 3): true, ref(2, 2): true}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want the 3 cells %v once each", order, want)
+	if len(c.Order) != len(want) {
+		t.Fatalf("order = %v, want the 3 cells %v once each", c.Order, want)
 	}
 	pos := map[sheet.Ref]int{}
-	for i, r := range order {
+	for i, r := range c.Order {
 		if !want[r] {
-			t.Fatalf("unexpected cell %v in order %v", r, order)
+			t.Fatalf("unexpected cell %v in order %v", r, c.Order)
 		}
 		if _, dup := pos[r]; dup {
-			t.Fatalf("duplicate %v in order %v", r, order)
+			t.Fatalf("duplicate %v in order %v", r, c.Order)
 		}
 		pos[r] = i
 	}
 	if pos[ref(1, 2)] > pos[ref(1, 3)] {
-		t.Fatalf("B1 must precede C1: %v", order)
+		t.Fatalf("B1 must precede C1: %v", c.Order)
 	}
 	// A seed that is also in the changed cone appears exactly once.
-	order, _ = g.AffectedBySeeds([]sheet.Ref{ref(1, 2)}, []sheet.Ref{ref(1, 1)})
+	c = g.ConeFrom(pending(ref(1, 2)))
 	n := 0
-	for _, r := range order {
+	for _, r := range c.Order {
 		if r == ref(1, 2) {
 			n++
 		}
 	}
 	if n != 1 {
-		t.Fatalf("seed inside cone appears %d times in %v", n, order)
+		t.Fatalf("seed inside cone appears %d times in %v", n, c.Order)
+	}
+}
+
+// TestMarkReachStopsAtMarked: MarkReach marks every transitive reader
+// once, and does not walk past a cell the caller had already marked (its
+// dependents are marked by the caller's closure invariant). Reach is the
+// unmarked walk.
+func TestMarkReachStopsAtMarked(t *testing.T) {
+	g := New()
+	g.Set(ref(1, 2), cellRange(1, 1))                           // B1 = A1
+	g.Set(ref(1, 3), cellRange(1, 2))                           // C1 = B1
+	g.Set(ref(2, 3), []sheet.Range{sheet.NewRange(1, 1, 1, 2)}) // C2 = SUM(A1:B1)
+	g.Set(ref(3, 3), cellRange(2, 3))                           // C3 = C2
+
+	if got := g.Reach([]sheet.Ref{ref(1, 1)}); len(got) != 4 {
+		t.Fatalf("Reach = %v, want B1, C1, C2, C3", got)
+	}
+	marked := map[sheet.Ref]bool{ref(1, 2): true}
+	mark := func(r sheet.Ref) bool {
+		if marked[r] {
+			return false
+		}
+		marked[r] = true
+		return true
+	}
+	// B1 already marked: the walk from A1 marks only C2 and C3 — C1, a
+	// reader of B1 alone, is left to the caller's invariant.
+	if n := g.MarkReach([]sheet.Ref{ref(1, 1)}, mark); n != 2 || marked[ref(1, 3)] || !marked[ref(3, 3)] {
+		t.Fatalf("MarkReach past a marked cell: marked %d, set %v", n, marked)
 	}
 }

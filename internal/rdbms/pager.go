@@ -12,9 +12,7 @@ import (
 // signal alongside timings. With a file-backed pager the Disk*/WAL* fields
 // additionally count real file I/O.
 type IOStats struct {
-	Reads  int64 // page fetches that missed the pool (same as PoolMisses)
 	Writes int64 // page write-backs (evictions and flushes of dirty pages)
-	Hits   int64 // page fetches served from the pool (same as PoolHits)
 	// Read-path counters (the scrolling workload's hot signal).
 	PoolHits   int64 // fetches served from a resident frame
 	PoolMisses int64 // fetches that had to go to the pager
@@ -378,9 +376,7 @@ func (b *BufferPool) Err() error {
 // Stats returns a snapshot of the I/O counters.
 func (b *BufferPool) Stats() IOStats {
 	s := IOStats{
-		Reads:      b.misses.Load(),
 		Writes:     b.writes.Load(),
-		Hits:       b.hits.Load(),
 		PoolHits:   b.hits.Load(),
 		PoolMisses: b.misses.Load(),
 		PagesRead:  b.pagesRead.Load(),

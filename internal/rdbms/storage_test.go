@@ -358,17 +358,17 @@ func TestBufferPoolLRU(t *testing.T) {
 	pool.fetch(a) // a is now MRU
 	pool.fetch(c) // evicts b
 	st := pool.Stats()
-	if st.Reads != 3 || st.Hits != 1 {
+	if st.PoolMisses != 3 || st.PoolHits != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	pool.fetch(b) // miss again
-	if pool.Stats().Reads != 4 {
+	if pool.Stats().PoolMisses != 4 {
 		t.Fatalf("b should have been evicted: %+v", pool.Stats())
 	}
 	pa := pool.fetch(a) // a evicted when b came back? lru: [b,c] -> fetch(a) evicts c
 	pool.markDirty(a, pa)
 	pool.ResetStats()
-	if s := pool.Stats(); s.Reads != 0 || s.Hits != 0 {
+	if s := pool.Stats(); s.PoolMisses != 0 || s.PoolHits != 0 {
 		t.Fatalf("ResetStats failed: %+v", s)
 	}
 }

@@ -159,3 +159,80 @@ func TestServeViewportSyncNoop(t *testing.T) {
 		t.Fatalf("clear viewport: %v", err)
 	}
 }
+
+// A get-range must never serve a stale value with its pending flag clear.
+// The test forces the worst interleaving: a recalc chunk commits between
+// the read's staleness sample and its cell read. A read latch held over
+// the column queues the dispatcher's commit, so the read takes the
+// snapshot path; the test hook then releases the latch and waits for the
+// column to converge before the cells are read. Sampling the mask first,
+// the read returns converged values flagged pending (an over-flag). With
+// the cells read first, it would return the old values with a clear mask.
+func TestServePendingSampledBeforeCells(t *testing.T) {
+	eng, err := core.New(rdbms.Open(rdbms.Options{}), "s", core.Options{AsyncRecalc: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const n = 100
+	edits := []core.CellEdit{{Row: 1, Col: 1, Input: "1"}}
+	for i := 1; i <= n; i++ {
+		edits = append(edits, core.CellEdit{Row: i, Col: 2, Input: fmt.Sprintf("=A1*%d", i)})
+	}
+	if err := eng.SetCells(edits); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	h := newSheetHandle("s", eng)
+	g := sheet.NewRange(1, 2, n, 2)
+	// Make the column's blocks resident, so the snapshot path can serve it.
+	if _, err := h.getRange(g); err != nil {
+		t.Fatal(err)
+	}
+
+	release := eng.RLatchRange(g)
+	if err := eng.Set(1, 1, "2"); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until the dispatcher's commit is queued on the write latch.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		r, ok := eng.TryRLatchRange(g)
+		if !ok {
+			break
+		}
+		r()
+		if time.Now().After(deadline) {
+			t.Fatal("dispatcher never queued its commit")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	hooked := false
+	h.afterPendingSample = func() {
+		hooked = true
+		release()
+		if err := eng.WaitRange(g); err != nil {
+			t.Error(err)
+		}
+	}
+	rr, err := h.getRange(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hooked {
+		t.Fatal("the read never reached the hook")
+	}
+	stale := 0
+	for i := 0; i < n; i++ {
+		got, _ := rr.cells[i][0].Value.Num()
+		flagged := rr.pending != nil && rr.pending[i][0]
+		if got != float64(2*(i+1)) && !flagged {
+			stale++
+		}
+	}
+	if stale != 0 {
+		t.Fatalf("%d of %d cells served stale with a clear pending flag", stale, n)
+	}
+}

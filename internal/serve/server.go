@@ -455,16 +455,12 @@ func (s *Server) dispatch(b, payload []byte, sess *sessionState) []byte {
 			return appendErr(b, err)
 		}
 		g := sheet.NewRange(r1, c1, r2, c2)
-		cells, gen, err := h.getRange(g)
+		rr, err := h.getRange(g)
 		if err != nil {
 			return appendErr(b, err)
 		}
 		b = append(b, StatusOK)
-		// The staleness mask is advisory (a background commit may race the
-		// read), so it is sampled lock-free after the snapshot: a cell can
-		// at worst be flagged pending when it just converged, never the
-		// reverse for the snapshot the client received.
-		return appendRange(b, gen, cells, h.eng.PendingMask(g))
+		return appendRange(b, rr.gen, rr.cells, rr.pending)
 
 	case OpSetCells:
 		name := d.str()

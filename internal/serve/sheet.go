@@ -48,6 +48,10 @@ type sheetHandle struct {
 	// exclusive marks an in-flight structural edit: snapshot reads are
 	// invalid while cache blocks shift, so readers take the blocking path.
 	exclusive bool
+	// afterPendingSample, when set, runs between a read's staleness sample
+	// and its cell read: a test hook that lets a recalc commit land in
+	// that gap. Nil in production.
+	afterPendingSample func()
 }
 
 func newSheetHandle(name string, eng *core.Engine) *sheetHandle {
@@ -61,31 +65,62 @@ func (h *sheetHandle) generation() uint64 {
 	return h.gen
 }
 
-// getRange materializes g with its snapshot generation.
-func (h *sheetHandle) getRange(g sheet.Range) ([][]sheet.Cell, uint64, error) {
+// rangeRead is one get-range result: the cells, the generation they were
+// stamped with, and their staleness mask (nil when none is pending).
+type rangeRead struct {
+	cells   [][]sheet.Cell
+	gen     uint64
+	pending [][]bool
+}
+
+// getRange materializes g with its snapshot generation and staleness mask.
+//
+// Each path samples the mask after the stamp and before the cells, inside
+// the critical section that makes the read consistent (the read latches,
+// or h.mu on the snapshot path). A recalc commit writes a cell's value
+// before it clears the cell's pending bit, so a bit sampled clear means
+// the value read afterwards is the converged one. A cell can at worst be
+// flagged pending when it converged in between, never served stale and
+// unflagged.
+func (h *sheetHandle) getRange(g sheet.Range) (rangeRead, error) {
 	// Fast path: no writer in the way.
 	if release, ok := h.eng.TryRLatchRange(g); ok {
-		cells := h.eng.GetCells(g)
-		gen := h.eng.Generation()
-		err := h.eng.ReadErr()
-		release()
-		return cells, gen, err
+		defer release()
+		return h.latchedRead(g)
 	}
 	// Snapshot path: serve the pinned committed generation from overlay +
 	// resident blocks, fully under h.mu so the writer's commit (which
 	// retires the overlay) cannot interleave with the assembly.
-	if cells, gen, ok := h.peekSnapshot(g); ok {
-		return cells, gen, nil
+	if rr, ok := h.peekSnapshot(g); ok {
+		return rr, nil
 	}
 	// Blocking path: wait for the writer.
-	return h.eng.SnapshotRange(g)
+	release := h.eng.RLatchRange(g)
+	defer release()
+	return h.latchedRead(g)
 }
 
-func (h *sheetHandle) peekSnapshot(g sheet.Range) ([][]sheet.Cell, uint64, bool) {
+// latchedRead reads g under its read latches, which exclude every writer
+// of the tables g covers: the stamp and the mask describe the same state
+// as the cells.
+func (h *sheetHandle) latchedRead(g sheet.Range) (rangeRead, error) {
+	rr := rangeRead{gen: h.eng.Generation(), pending: h.eng.PendingMask(g)}
+	if h.afterPendingSample != nil {
+		h.afterPendingSample()
+	}
+	rr.cells = h.eng.GetCells(g)
+	return rr, h.eng.ReadErr()
+}
+
+func (h *sheetHandle) peekSnapshot(g sheet.Range) (rangeRead, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if h.exclusive {
-		return nil, 0, false
+		return rangeRead{}, false
+	}
+	rr := rangeRead{gen: h.gen, pending: h.eng.PendingMask(g)}
+	if h.afterPendingSample != nil {
+		h.afterPendingSample()
 	}
 	rows, cols := g.Rows(), g.Cols()
 	flat := make([]sheet.Cell, rows*cols)
@@ -111,13 +146,14 @@ func (h *sheetHandle) peekSnapshot(g sheet.Range) ([][]sheet.Cell, uint64, bool)
 		// Not dirtied by the writer: the live cache block IS the snapshot.
 		sub, ok := h.eng.PeekCells(ov)
 		if !ok {
-			return nil, 0, false // cold block: storage read needed
+			return rangeRead{}, false // cold block: storage read needed
 		}
 		for i, row := range sub {
 			copy(out[ov.From.Row-g.From.Row+i][ov.From.Col-g.From.Col:], row)
 		}
 	}
-	return out, h.gen, true
+	rr.cells = out
+	return rr, true
 }
 
 // setCells applies one batch with snapshot-preserving pre-imaging.
